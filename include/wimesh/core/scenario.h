@@ -18,9 +18,6 @@
 //   zones = 4                        # partition the mesh into N zones and
 //                                    # schedule them in parallel
 //                                    # (wimesh::zones); 0 = off (default)
-//   event_queue = calendar           # calendar | heap — DES event
-//                                    # structure (bit-identical results;
-//                                    # heap is the differential reference)
 //   comm_range = 110
 //   interference_range = 220
 //   phy = ofdm54                     # ofdm{6,9,12,18,24,36,48,54},

@@ -7,25 +7,16 @@
 // traffic and synchronization models in this repo are processes driven by
 // this kernel.
 //
-// Two interchangeable event structures sit behind the same Simulator API:
-//
-//  * kCalendarQueue (default) — a Brown calendar queue: events hash into
-//    time-bucketed "days" of an adaptively sized "year", giving O(1)
-//    amortized insert/extract under the steady event populations a
-//    city-scale mesh produces (every node contributes frame-periodic
-//    events, so the population is large and the inter-event gap stable —
-//    the calendar's best case).
-//  * kBinaryHeap — the original std::priority_queue kernel, retained as a
-//    fallback and as the reference implementation for differential tests.
-//
-// Both structures order events by (time, insertion sequence), so the event
-// order — and therefore every simulation result — is bit-identical between
-// them (proven by des_test's differential stress and the golden
-// scale-equivalence suite).
+// Events live in a Brown calendar queue: they hash into time-bucketed
+// "days" of an adaptively sized "year", giving O(1) amortized
+// insert/extract under the steady event populations a city-scale mesh
+// produces (every node contributes frame-periodic events, so the
+// population is large and the inter-event gap stable — the calendar's best
+// case). Events are ordered by (time, insertion sequence); des_test checks
+// the queue's pop order against a binary heap on a seeded workload.
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -40,12 +31,6 @@ namespace wimesh {
 struct EventHandle {
   std::uint64_t id = 0;
   bool valid() const { return id != 0; }
-};
-
-// Which event structure a Simulator runs on (see file comment).
-enum class EventQueueKind {
-  kCalendarQueue,
-  kBinaryHeap,
 };
 
 namespace detail {
@@ -111,13 +96,11 @@ class Simulator {
  public:
   using EventFn = std::function<void()>;
 
-  explicit Simulator(EventQueueKind queue_kind = EventQueueKind::kCalendarQueue)
-      : queue_kind_(queue_kind) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
-  EventQueueKind queue_kind() const { return queue_kind_; }
 
   // Schedules fn at absolute time t (must not be in the past).
   EventHandle schedule_at(SimTime t, EventFn fn);
@@ -147,27 +130,18 @@ class Simulator {
 
   std::uint64_t events_executed() const { return events_executed_; }
   std::size_t pending_events() const {
-    return queue_size() - cancelled_.size();
+    return calendar_.size() - cancelled_.size();
   }
 
  private:
   void execute_next();
-  void queue_push(const detail::DesEntry& e);
-  detail::DesEntry queue_pop();
-  SimTime queue_min_time();
-  bool queue_empty() const;
-  std::size_t queue_size() const;
 
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t events_executed_ = 0;
   bool stop_requested_ = false;
-  EventQueueKind queue_kind_;
   detail::CalendarQueue calendar_;
-  std::priority_queue<detail::DesEntry, std::vector<detail::DesEntry>,
-                      std::greater<>>
-      heap_;
   std::unordered_map<std::uint64_t, EventFn> handlers_;
   std::unordered_set<std::uint64_t> cancelled_;
 };

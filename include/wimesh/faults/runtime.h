@@ -83,6 +83,10 @@ struct PlannerInputs {
   RoutingPolicy routing = RoutingPolicy::kHopCount;
   SchedulerKind scheduler = SchedulerKind::kIlpDelayAware;
   IlpSchedulerOptions ilp;
+  // Physical radio environment (radio = on), or null for the protocol
+  // model; repairs then plan on the same SINR conflict graph as the
+  // initial plan. Not owned; must outlive the runtime.
+  const radio::RadioEnvironment* radio_env = nullptr;
 };
 
 class FaultRuntime {

@@ -152,13 +152,30 @@ class WifiChannel {
     // Rate-table index this frame went out at (physical model; control
     // frames and non-adapted data use the base rate).
     std::size_t rate_idx = 0;
-    // Physical model: nodes whose carrier sense went busy at tx start; the
-    // idle edges at tx end replay this list, so busy/idle stay balanced
-    // even though fading varies between the two instants.
+    // Nodes whose carrier sense went busy at tx start, ascending; the idle
+    // edges at tx end replay this list, so busy/idle stay balanced even
+    // though fading varies between the two instants, and the protocol model
+    // needs no second range scan.
     std::vector<NodeId> cs_nodes;
     std::vector<Reception> receptions;
   };
 
+  // The three places where the protocol and physical models differ; each
+  // branches once on radio_env_.
+  //
+  // Whether `n` senses `tx`'s carrier. Protocol: within interference
+  // range. Physical: received power at or above the CS threshold.
+  bool senses(NodeId tx, NodeId n, SimTime now) const;
+  // Whether `rx` attempts to decode `frame`. Protocol: within
+  // communication range. Physical: the addressee always tries, anyone
+  // else when the signal crosses the CS threshold; fills `signal_dbm`.
+  bool reaches(const WifiFrame& frame, NodeId rx, double* signal_dbm,
+               SimTime now) const;
+  // Applies `interferer`'s transmission to reception `r`; true when it
+  // corrupts `r` now. Protocol: true iff within interference range of the
+  // receiver. Physical: adds its power to the SINR denominator and returns
+  // false, leaving the verdict to decode time.
+  bool interfere(Reception& r, NodeId interferer, SimTime now) const;
   bool node_transmitting(NodeId n) const;
   void finish_transmission(std::uint64_t key);
 

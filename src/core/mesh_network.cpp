@@ -163,7 +163,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
     has_plan_ = true;
   }
 
-  Simulator sim(config_.event_queue);
+  Simulator sim;
   Rng root(config_.seed);
   const NodeId n = config_.topology.node_count();
   const RadioModel radio(config_.comm_range, config_.interference_range);
@@ -478,6 +478,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
     inputs.routing = config_.routing;
     inputs.scheduler = config_.scheduler;
     inputs.ilp = config_.ilp;
+    inputs.radio_env = radio_env_.get();
 
     faults::Callbacks cb;
     if (mode == MacMode::kTdmaOverlay) {

@@ -602,15 +602,6 @@ Expected<Scenario> parse_scenario(const std::string& text) {
                                   "zoning)"));
       }
       sc.config.zones = static_cast<int>(*v);
-    } else if (key == "event_queue") {
-      if (value == "calendar") {
-        sc.config.event_queue = EventQueueKind::kCalendarQueue;
-      } else if (value == "heap") {
-        sc.config.event_queue = EventQueueKind::kBinaryHeap;
-      } else {
-        return make_error(str_cat("line ", line_no,
-                                  ": event_queue must be calendar|heap"));
-      }
     } else if (key == "comm_range") {
       const auto v = numeric();
       if (!v) return make_error(v.error());

@@ -117,7 +117,7 @@ EventHandle Simulator::schedule_at(SimTime t, EventFn fn) {
   WIMESH_ASSERT_MSG(t >= now_, "cannot schedule an event in the past");
   WIMESH_ASSERT(fn != nullptr);
   const std::uint64_t id = next_id_++;
-  queue_push(detail::DesEntry{t, next_seq_++, id});
+  calendar_.push(detail::DesEntry{t, next_seq_++, id});
   handlers_.emplace(id, std::move(fn));
   return EventHandle{id};
 }
@@ -127,40 +127,8 @@ void Simulator::cancel(EventHandle h) {
   if (handlers_.erase(h.id) > 0) cancelled_.insert(h.id);
 }
 
-void Simulator::queue_push(const detail::DesEntry& e) {
-  if (queue_kind_ == EventQueueKind::kCalendarQueue) {
-    calendar_.push(e);
-  } else {
-    heap_.push(e);
-  }
-}
-
-detail::DesEntry Simulator::queue_pop() {
-  if (queue_kind_ == EventQueueKind::kCalendarQueue) {
-    return calendar_.pop_min();
-  }
-  const detail::DesEntry e = heap_.top();
-  heap_.pop();
-  return e;
-}
-
-SimTime Simulator::queue_min_time() {
-  return queue_kind_ == EventQueueKind::kCalendarQueue ? calendar_.min_time()
-                                                       : heap_.top().time;
-}
-
-bool Simulator::queue_empty() const {
-  return queue_kind_ == EventQueueKind::kCalendarQueue ? calendar_.empty()
-                                                       : heap_.empty();
-}
-
-std::size_t Simulator::queue_size() const {
-  return queue_kind_ == EventQueueKind::kCalendarQueue ? calendar_.size()
-                                                       : heap_.size();
-}
-
 void Simulator::execute_next() {
-  const detail::DesEntry e = queue_pop();
+  const detail::DesEntry e = calendar_.pop_min();
   const auto cancelled_it = cancelled_.find(e.id);
   if (cancelled_it != cancelled_.end()) {
     cancelled_.erase(cancelled_it);
@@ -181,8 +149,8 @@ void Simulator::execute_next() {
 
 void Simulator::run_until(SimTime horizon) {
   stop_requested_ = false;
-  while (!queue_empty() && !stop_requested_) {
-    if (queue_min_time() > horizon) break;
+  while (!calendar_.empty() && !stop_requested_) {
+    if (calendar_.min_time() > horizon) break;
     execute_next();
   }
   if (now_ < horizon && !stop_requested_) now_ = horizon;
@@ -190,7 +158,7 @@ void Simulator::run_until(SimTime horizon) {
 
 void Simulator::run_all() {
   stop_requested_ = false;
-  while (!queue_empty() && !stop_requested_) execute_next();
+  while (!calendar_.empty() && !stop_requested_) execute_next();
 }
 
 }  // namespace wimesh

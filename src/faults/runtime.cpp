@@ -352,7 +352,7 @@ void FaultRuntime::repair_schedule(SimTime fault_at, const Topology& survivors,
 
   const QosPlanner planner(
       survivors, RadioModel(inputs_.comm_range, inputs_.interference_range),
-      inputs_.emulation, inputs_.phy, inputs_.routing);
+      inputs_.emulation, inputs_.phy, inputs_.routing, inputs_.radio_env);
 
   // Islands are fault-induced zones: a split mesh plans each island
   // independently (in parallel) with the zones border pass resolving

@@ -381,8 +381,14 @@ bool Simplex::step(const Pick& pick, bool* progressed) {
   return true;
 }
 
-void Simplex::pivot_tableau(int leave_row, int q, bool update_rhs,
-                            bool update_costs) {
+// The row reduction below is where the solver spends nearly all its time,
+// and its speed depends on where its loops fall relative to 64-byte
+// boundaries: on an Intel Xeon VM (gcc 12, -O2), moving the function by 48
+// bytes made cold ILP plans about 28% slower. Aligning the function to a
+// cache line keeps its layout independent of the code linked before it.
+[[gnu::aligned(64)]] void Simplex::pivot_tableau(int leave_row, int q,
+                                                 bool update_rhs,
+                                                 bool update_costs) {
   const double piv = t_at(leave_row, q);
   WIMESH_ASSERT_MSG(std::abs(piv) > 1e-12, "numerically singular pivot");
   const double inv = 1.0 / piv;

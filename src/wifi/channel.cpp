@@ -96,6 +96,43 @@ bool WifiChannel::node_transmitting(NodeId n) const {
                      [n](const ActiveTx& t) { return t.tx == n; });
 }
 
+bool WifiChannel::senses(NodeId tx, NodeId n, SimTime now) const {
+  if (radio_env_ == nullptr) {
+    return radio_.interferes(positions_[static_cast<std::size_t>(tx)],
+                             positions_[static_cast<std::size_t>(n)]);
+  }
+  return radio_env_->rx_power_dbm(tx, n, now) >=
+         radio_env_->cs_threshold_dbm();
+}
+
+bool WifiChannel::reaches(const WifiFrame& frame, NodeId rx,
+                          double* signal_dbm, SimTime now) const {
+  if (radio_env_ == nullptr) {
+    return radio_.can_communicate(
+        positions_[static_cast<std::size_t>(frame.from)],
+        positions_[static_cast<std::size_t>(rx)]);
+  }
+  // The addressee always attempts the decode (its PER verdict needs the
+  // full power budget); other nodes only bother when the signal crosses
+  // their detection (carrier-sense) threshold.
+  *signal_dbm = radio_env_->rx_power_dbm(frame.from, rx, now);
+  return frame.to == rx || *signal_dbm >= radio_env_->cs_threshold_dbm();
+}
+
+bool WifiChannel::interfere(Reception& r, NodeId interferer,
+                            SimTime now) const {
+  if (radio_env_ == nullptr) {
+    return radio_.interferes(positions_[static_cast<std::size_t>(interferer)],
+                             positions_[static_cast<std::size_t>(r.rx)]);
+  }
+  // Raises the reception's interference floor; whether that kills the
+  // decode is settled by SINR at decode time.
+  r.interference_mw +=
+      radio::dbm_to_mw(radio_env_->rx_power_dbm(interferer, r.rx, now));
+  ++r.interferers;
+  return false;
+}
+
 SimTime WifiChannel::transmit(const WifiFrame& frame) {
   const NodeId tx = frame.from;
   WIMESH_ASSERT(tx >= 0 && tx < node_count());
@@ -130,82 +167,7 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
   // receptions, no carrier sense, and the auditor never sees the frame.
   record.radiated = node_up_[static_cast<std::size_t>(tx)] != 0;
 
-  const Point& tx_pos = positions_[static_cast<std::size_t>(tx)];
-
-  if (record.radiated && radio_env_ == nullptr) {
-    ++frames_transmitted_;
-    trace::event(trace::EventType::kTxStart, sim_.now(), tx, frame.to,
-                 static_cast<std::int64_t>(frame.type), duration.ns(),
-                 static_cast<std::int64_t>(frame.packet.bytes));
-    if (probe_ != nullptr) probe_->on_transmission_start(frame, end);
-
-    // The new transmission corrupts every ongoing reception it is audible
-    // at.
-    for (ActiveTx& ongoing : active_) {
-      for (Reception& r : ongoing.receptions) {
-        if (r.corrupted) continue;
-        if (r.rx == tx ||
-            radio_.interferes(tx_pos,
-                              positions_[static_cast<std::size_t>(r.rx)])) {
-          r.corrupted = true;
-          ++receptions_corrupted_;
-          trace::event(trace::EventType::kRxCorrupted, sim_.now(), r.rx,
-                       r.frame.from,
-                       static_cast<std::int64_t>(
-                           r.rx == tx ? trace::RxDropCause::kHalfDuplex
-                                      : trace::RxDropCause::kCollision));
-        }
-      }
-    }
-
-    // Receptions begin at every intended receiver in decode range. A
-    // reception starts corrupted if another transmission is already audible
-    // there or the receiver is itself mid-transmission.
-    const auto begin_reception = [&](NodeId rx) {
-      if (rx == tx) return;
-      if (node_up_[static_cast<std::size_t>(rx)] == 0) return;
-      const Point& rx_pos = positions_[static_cast<std::size_t>(rx)];
-      if (!radio_.can_communicate(tx_pos, rx_pos)) return;
-      if (macs_[static_cast<std::size_t>(rx)] == nullptr) return;
-      Reception r;
-      r.frame = frame;
-      r.rx = rx;
-      auto cause = trace::RxDropCause::kCollision;
-      for (const ActiveTx& ongoing : active_) {
-        if (!ongoing.radiated) continue;
-        if (ongoing.tx == rx ||
-            radio_.interferes(
-                positions_[static_cast<std::size_t>(ongoing.tx)], rx_pos)) {
-          if (!r.corrupted && ongoing.tx == rx) {
-            cause = trace::RxDropCause::kHalfDuplex;
-          }
-          r.corrupted = true;
-        }
-      }
-      if (r.corrupted) {
-        ++receptions_corrupted_;
-        trace::event(trace::EventType::kRxCorrupted, sim_.now(), rx, tx,
-                     static_cast<std::int64_t>(cause));
-      }
-      record.receptions.push_back(std::move(r));
-    };
-
-    if (frame.to == kInvalidNode || deliver_overheard_) {
-      for (NodeId rx = 0; rx < node_count(); ++rx) begin_reception(rx);
-    } else {
-      begin_reception(frame.to);
-    }
-
-    // Carrier sense: every other node in interference range sees busy.
-    for (NodeId n = 0; n < node_count(); ++n) {
-      if (n == tx || macs_[static_cast<std::size_t>(n)] == nullptr) continue;
-      if (radio_.interferes(tx_pos,
-                            positions_[static_cast<std::size_t>(n)])) {
-        macs_[static_cast<std::size_t>(n)]->on_medium_busy();
-      }
-    }
-  } else if (record.radiated) {
-    // ---- Physical (SINR) model.
+  if (record.radiated) {
     const SimTime now = sim_.now();
     ++frames_transmitted_;
     trace::event(trace::EventType::kTxStart, now, tx, frame.to,
@@ -213,37 +175,35 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
                  static_cast<std::int64_t>(frame.packet.bytes));
     if (probe_ != nullptr) probe_->on_transmission_start(frame, end);
 
-    // This transmission raises the interference floor of every ongoing
-    // reception; whether that kills the decode is settled by SINR at
-    // decode time. Half-duplex stays immediately fatal.
+    const auto corrupt = [&](Reception& r, trace::RxDropCause cause) {
+      r.corrupted = true;
+      ++receptions_corrupted_;
+      trace::event(trace::EventType::kRxCorrupted, now, r.rx, r.frame.from,
+                   static_cast<std::int64_t>(cause));
+    };
+
+    // The new transmission hits every ongoing reception: half-duplex loss
+    // at its own antenna, the model's interference rule everywhere else.
     for (ActiveTx& ongoing : active_) {
       for (Reception& r : ongoing.receptions) {
         if (r.corrupted) continue;
         if (r.rx == tx) {
-          r.corrupted = true;
-          ++receptions_corrupted_;
-          trace::event(
-              trace::EventType::kRxCorrupted, now, r.rx, r.frame.from,
-              static_cast<std::int64_t>(trace::RxDropCause::kHalfDuplex));
-          continue;
+          corrupt(r, trace::RxDropCause::kHalfDuplex);
+        } else if (interfere(r, tx, now)) {
+          corrupt(r, trace::RxDropCause::kCollision);
         }
-        r.interference_mw +=
-            radio::dbm_to_mw(radio_env_->rx_power_dbm(tx, r.rx, now));
-        ++r.interferers;
       }
     }
 
-    // The addressee always attempts the decode (its PER verdict needs the
-    // full power budget); other nodes only bother when the signal crosses
-    // their detection (carrier-sense) threshold.
+    // Receptions begin at every node the frame reaches. One starts
+    // corrupted if the receiver is itself mid-transmission or an ongoing
+    // transmission already ruins it; the first culprit names the cause.
     const auto begin_reception = [&](NodeId rx) {
       if (rx == tx) return;
       if (node_up_[static_cast<std::size_t>(rx)] == 0) return;
       if (macs_[static_cast<std::size_t>(rx)] == nullptr) return;
-      const double signal_dbm = radio_env_->rx_power_dbm(tx, rx, now);
-      if (frame.to != rx && signal_dbm < radio_env_->cs_threshold_dbm()) {
-        return;
-      }
+      double signal_dbm = 0.0;
+      if (!reaches(frame, rx, &signal_dbm, now)) return;
       Reception r;
       r.frame = frame;
       r.rx = rx;
@@ -251,20 +211,15 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
       for (const ActiveTx& ongoing : active_) {
         if (!ongoing.radiated) continue;
         if (ongoing.tx == rx) {
-          if (!r.corrupted) {
-            r.corrupted = true;
-            ++receptions_corrupted_;
-            trace::event(
-                trace::EventType::kRxCorrupted, now, rx, tx,
-                static_cast<std::int64_t>(trace::RxDropCause::kHalfDuplex));
-          }
-          continue;
+          corrupt(r, trace::RxDropCause::kHalfDuplex);
+          break;
         }
-        r.interference_mw += radio::dbm_to_mw(
-            radio_env_->rx_power_dbm(ongoing.tx, rx, now));
-        ++r.interferers;
+        if (interfere(r, ongoing.tx, now)) {
+          corrupt(r, trace::RxDropCause::kCollision);
+          break;
+        }
       }
-      if (frame.to == rx) {
+      if (radio_env_ != nullptr && frame.to == rx) {
         const double fade = radio_env_->fading_gain_db(tx, rx, now);
         if (fade <= kDeepFadeDb) {
           trace::event(trace::EventType::kRadioFadeDeep, now, rx, tx,
@@ -280,13 +235,11 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
       begin_reception(frame.to);
     }
 
-    // Carrier sense by received power: fading and obstacles decide who
-    // defers. The busy set is remembered so the idle edges at tx end match
-    // it exactly (fading will have moved by then).
+    // Carrier sense. The busy set is remembered so the idle edges at tx end
+    // match it exactly, whatever fading or liveness does meanwhile.
     for (NodeId n = 0; n < node_count(); ++n) {
       if (n == tx || macs_[static_cast<std::size_t>(n)] == nullptr) continue;
-      if (radio_env_->rx_power_dbm(tx, n, now) >=
-          radio_env_->cs_threshold_dbm()) {
+      if (senses(tx, n, now)) {
         record.cs_nodes.push_back(n);
         macs_[static_cast<std::size_t>(n)]->on_medium_busy();
       }
@@ -307,26 +260,11 @@ void WifiChannel::finish_transmission(std::uint64_t key) {
   ActiveTx done = std::move(*it);
   active_.erase(it);
 
-  const Point& tx_pos = positions_[static_cast<std::size_t>(done.tx)];
-
   // Carrier sense falls first so MACs see a consistent idle medium when the
-  // decode callbacks run. Idle edges mirror the busy edges raised at
-  // transmit start, so they key off `radiated` (and, in the physical
-  // model, the remembered busy set), not current liveness or fading.
-  if (done.radiated && radio_env_ == nullptr) {
-    for (NodeId n = 0; n < node_count(); ++n) {
-      if (n == done.tx || macs_[static_cast<std::size_t>(n)] == nullptr) {
-        continue;
-      }
-      if (radio_.interferes(tx_pos,
-                            positions_[static_cast<std::size_t>(n)])) {
-        macs_[static_cast<std::size_t>(n)]->on_medium_idle();
-      }
-    }
-  } else if (done.radiated) {
-    for (NodeId n : done.cs_nodes) {
-      macs_[static_cast<std::size_t>(n)]->on_medium_idle();
-    }
+  // decode callbacks run. The idle edges replay the busy edges raised at
+  // transmit start (none if the transmitter was down then).
+  for (NodeId n : done.cs_nodes) {
+    macs_[static_cast<std::size_t>(n)]->on_medium_idle();
   }
 
   // Decode arbitration for one reception. Stage order: in-flight

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -162,106 +163,116 @@ TEST(SimulatorTest, OutOfOrderPushesBeforeFirstPopRunInOrder) {
   EXPECT_EQ(sim.now(), SimTime::seconds(1));
 }
 
-// Heavy cancel traffic on both queue kinds: pending_events must track
-// exactly (queued - cancelled), double-cancels must be no-ops, and only
-// surviving events may fire.
+// Heavy cancel traffic: pending_events must track exactly (queued -
+// cancelled), double-cancels must be no-ops, and only surviving events may
+// fire.
 TEST(SimulatorTest, CancelAccountingStress) {
-  for (const EventQueueKind kind :
-       {EventQueueKind::kCalendarQueue, EventQueueKind::kBinaryHeap}) {
-    Simulator sim(kind);
-    std::uint64_t x = 0x9e3779b97f4a7c15ull;
-    const auto next = [&x] {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      return x;
-    };
-    std::vector<EventHandle> handles;
-    std::size_t fired = 0;
-    constexpr std::size_t kEvents = 3000;
-    for (std::size_t i = 0; i < kEvents; ++i) {
-      handles.push_back(sim.schedule_at(
-          SimTime::nanoseconds(static_cast<std::int64_t>(next() % 1'000'000)),
-          [&] { ++fired; }));
-    }
-    std::size_t cancelled = 0;
-    for (std::size_t i = 0; i < handles.size(); i += 3) {
-      sim.cancel(handles[i]);
-      ++cancelled;
-    }
-    for (std::size_t i = 0; i < handles.size(); i += 9) {
-      sim.cancel(handles[i]);  // repeat cancels must not double-count
-    }
-    sim.cancel(EventHandle{});  // invalid handle is a no-op
-    EXPECT_EQ(sim.pending_events(), kEvents - cancelled);
-    sim.run_all();
-    EXPECT_EQ(fired, kEvents - cancelled);
-    EXPECT_EQ(sim.events_executed(), kEvents - cancelled);
-    EXPECT_EQ(sim.pending_events(), 0u);
+  Simulator sim;
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  std::vector<EventHandle> handles;
+  std::size_t fired = 0;
+  constexpr std::size_t kEvents = 3000;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    handles.push_back(sim.schedule_at(
+        SimTime::nanoseconds(static_cast<std::int64_t>(next() % 1'000'000)),
+        [&] { ++fired; }));
   }
+  std::size_t cancelled = 0;
+  for (std::size_t i = 0; i < handles.size(); i += 3) {
+    sim.cancel(handles[i]);
+    ++cancelled;
+  }
+  for (std::size_t i = 0; i < handles.size(); i += 9) {
+    sim.cancel(handles[i]);  // repeat cancels must not double-count
+  }
+  sim.cancel(EventHandle{});  // invalid handle is a no-op
+  EXPECT_EQ(sim.pending_events(), kEvents - cancelled);
+  sim.run_all();
+  EXPECT_EQ(fired, kEvents - cancelled);
+  EXPECT_EQ(sim.events_executed(), kEvents - cancelled);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-// Differential stress: the calendar queue and the binary heap must produce
-// the exact same execution — same event order, same clock, same counters —
-// on a workload of random times, equal-time bursts (FIFO ties), nested
-// scheduling and random cancels. The workload is a pure function of the
-// event order, so any ordering divergence desynchronizes the RNG streams
-// and shows up as a log mismatch.
-struct RunLog {
-  std::vector<std::int64_t> times;
-  std::vector<int> tags;
-  std::uint64_t executed = 0;
-  std::int64_t end_ns = 0;
-
-  friend bool operator==(const RunLog&, const RunLog&) = default;
-};
-
+// Differential oracle: the calendar queue must pop in exactly the order of
+// a binary heap over the same (time, seq) entries. One seeded sequence
+// covers descending and random pushes before the first pop (cursor
+// re-aim), DES-style interleaved push/pop (never earlier than the last
+// pop), equal-time bursts (FIFO ties), drain/refill cycles that resize the
+// bucket array both ways, and a sparse phase whose events lie far beyond
+// one calendar year (the direct-search fallback).
 TEST(SimulatorTest, CalendarMatchesHeapOnRandomWorkload) {
-  const auto run = [](EventQueueKind kind) {
-    Simulator sim(kind);
-    std::uint64_t x = 0x243f6a8885a308d3ull;
-    const auto next = [&x] {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      return x;
-    };
-    RunLog log;
-    std::vector<EventHandle> handles;
-    int next_tag = 0;
-    std::function<void(SimTime, int)> spawn = [&](SimTime t, int depth) {
-      const int tag = next_tag++;
-      handles.push_back(sim.schedule_at(t, [&, tag, depth] {
-        log.times.push_back(sim.now().ns());
-        log.tags.push_back(tag);
-        if (depth < 2) {
-          const int children = static_cast<int>(next() % 3);
-          for (int c = 0; c < children; ++c) {
-            spawn(sim.now() + SimTime::nanoseconds(
-                                  static_cast<std::int64_t>(next() % 50'000)),
-                  depth + 1);
-          }
-        }
-        if (next() % 4 == 0) {
-          sim.cancel(handles[next() % handles.size()]);
-        }
-      }));
-    };
-    for (int i = 0; i < 400; ++i) {
-      spawn(SimTime::nanoseconds(static_cast<std::int64_t>(next() % 2'000'000)),
-            0);
-    }
-    // Equal-time bursts: FIFO tie-breaking must match between the kinds.
-    for (int i = 0; i < 64; ++i) spawn(SimTime::microseconds(700), 0);
-    sim.run_all();
-    log.executed = sim.events_executed();
-    log.end_ns = sim.now().ns();
-    return log;
+  using detail::DesEntry;
+  detail::CalendarQueue calendar;
+  std::priority_queue<DesEntry, std::vector<DesEntry>, std::greater<>> heap;
+  std::uint64_t x = 0x243f6a8885a308d3ull;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
   };
-  const RunLog calendar = run(EventQueueKind::kCalendarQueue);
-  const RunLog heap = run(EventQueueKind::kBinaryHeap);
-  EXPECT_EQ(calendar, heap);
-  EXPECT_GT(calendar.executed, 400u);  // the workload actually fanned out
+  std::uint64_t seq = 0;
+  std::int64_t floor_ns = 0;  // time of the last pop
+  const auto push = [&](std::int64_t t) {
+    const DesEntry e{SimTime::nanoseconds(t), seq, seq};
+    ++seq;
+    calendar.push(e);
+    heap.push(e);
+  };
+  std::uint64_t pops = 0;
+  const auto pop_and_compare = [&] {
+    ASSERT_EQ(calendar.min_time(), heap.top().time);
+    const DesEntry got = calendar.pop_min();
+    const DesEntry want = heap.top();
+    heap.pop();
+    ASSERT_EQ(got.time, want.time);
+    ASSERT_EQ(got.seq, want.seq);
+    ASSERT_EQ(got.id, want.id);
+    floor_ns = got.time.ns();
+    ++pops;
+  };
+
+  for (std::int64_t i = 0; i < 200; ++i) push(2'000'000 - i * 9'973);
+  for (int i = 0; i < 200; ++i) {
+    push(static_cast<std::int64_t>(next() % 2'000'000));
+  }
+  for (int round = 0; round < 6; ++round) {
+    for (int op = 0; op < 4000; ++op) {
+      const std::uint64_t r = next() % 16;
+      if (r < 7 && !heap.empty()) {
+        pop_and_compare();
+      } else if (r < 14) {
+        push(floor_ns + static_cast<std::int64_t>(next() % 50'000));
+      } else if (r == 14) {
+        const std::int64_t t =
+            floor_ns + static_cast<std::int64_t>(next() % 10'000);
+        for (int k = 0; k < 32; ++k) push(t);  // equal-time burst
+      } else {
+        push(floor_ns + 1'000'000'000 +
+             static_cast<std::int64_t>(next() % 1'000'000));  // outlier
+      }
+      if (HasFatalFailure()) return;
+    }
+    // Drain (shrinking the bucket array); the next round refills it.
+    while (calendar.size() > 3 && !HasFatalFailure()) pop_and_compare();
+  }
+  for (int op = 0; op < 4000 && !HasFatalFailure(); ++op) {
+    if (calendar.size() < 4 || next() % 2 == 0) {
+      push(floor_ns + static_cast<std::int64_t>(next() % 1'000'000'000'000));
+    } else {
+      pop_and_compare();
+    }
+  }
+  while (!heap.empty() && !HasFatalFailure()) pop_and_compare();
+  EXPECT_TRUE(calendar.empty());
+  EXPECT_EQ(pops, seq);
+  EXPECT_GT(seq, 10'000u);  // the sequence actually grew and resized
 }
 
 // run_until interleaved with fresh pushes across horizons exercises the

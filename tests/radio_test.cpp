@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -650,37 +651,51 @@ std::string read_file_or_die(const std::string& path) {
   return out.str();
 }
 
-// Golden pins for the three shipped physical-layer scenarios. The radio
-// stack is deterministic end to end (seeded shadowing/fading, RNG-free
-// rate adaptation), so these exact counters must reproduce on every
-// platform; a drift here means the physical model changed behavior.
+// Golden pins for the shipped physical-layer scenarios, plus variants that
+// append inline scenario lines to a shipped file. The hidden-terminal rows
+// reach the channel's RTS/CTS overhearing path (every node in range decodes
+// unicast control frames for NAV) under both the protocol and the physical
+// model. The radio stack is deterministic end to end (seeded
+// shadowing/fading, RNG-free rate adaptation), so these exact counters must
+// reproduce on every platform; a drift here means the channel changed
+// behavior.
 TEST(RadioScenarioGoldenTest, ShippedScenarioPinsHold) {
   struct Pin {
     const char* file;
+    const char* extra_lines;  // appended to the file; later keys win
+    bool radio;               // the physical model is on
     std::uint64_t frames_transmitted;
     std::uint64_t receptions_corrupted;
     std::uint64_t delivered_packets;
   };
   const Pin pins[] = {
-      {"office_3floor.wimesh", 4502, 0, 617},
-      {"campus_outdoor.wimesh", 3748, 136, 503},
-      {"mixed_rate.wimesh", 1872, 0, 312},
+      {"office_3floor.wimesh", "", true, 4502, 0, 617},
+      {"campus_outdoor.wimesh", "", true, 3748, 136, 503},
+      {"mixed_rate.wimesh", "", true, 1872, 0, 312},
+      {"hidden_terminal.wimesh", "", false, 52974, 11951, 4988},
+      {"hidden_terminal.wimesh", "rts_cts = on\n", false, 88872, 18218, 4511},
+      {"hidden_terminal.wimesh",
+       "rts_cts = on\nradio = on,shadowing=3,fading=jakes,doppler=8\n", true,
+       67262, 39419, 2151},
   };
   const std::string dir = WIMESH_SCENARIO_DIR;
   for (const Pin& pin : pins) {
-    const auto sc = parse_scenario(read_file_or_die(dir + "/" + pin.file));
-    ASSERT_TRUE(sc.has_value()) << pin.file << ": " << sc.error();
-    EXPECT_TRUE(sc->config.radio.enabled) << pin.file;
+    std::string label = std::string(pin.file) + " + " + pin.extra_lines;
+    std::replace(label.begin(), label.end(), '\n', ' ');
+    const auto sc = parse_scenario(
+        read_file_or_die(dir + "/" + pin.file) + pin.extra_lines);
+    ASSERT_TRUE(sc.has_value()) << label << ": " << sc.error();
+    EXPECT_EQ(sc->config.radio.enabled, pin.radio) << label;
     MeshNetwork net(sc->config);
     for (const auto& f : sc->flows) net.add_flow(f);
     auto plan = net.compute_plan();
-    ASSERT_TRUE(plan.has_value()) << pin.file << ": " << plan.error();
+    ASSERT_TRUE(plan.has_value()) << label << ": " << plan.error();
     const SimulationResult r = net.run(sc->mac, sc->duration);
     std::uint64_t delivered = 0;
     for (const auto& f : r.flows) delivered += f.stats.delivered_packets();
-    EXPECT_EQ(r.frames_transmitted, pin.frames_transmitted) << pin.file;
-    EXPECT_EQ(r.receptions_corrupted, pin.receptions_corrupted) << pin.file;
-    EXPECT_EQ(delivered, pin.delivered_packets) << pin.file;
+    EXPECT_EQ(r.frames_transmitted, pin.frames_transmitted) << label;
+    EXPECT_EQ(r.receptions_corrupted, pin.receptions_corrupted) << label;
+    EXPECT_EQ(delivered, pin.delivered_packets) << label;
   }
 }
 

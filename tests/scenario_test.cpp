@@ -409,7 +409,7 @@ TEST(ScenarioParserTest, CustomTopologyActuallyRuns) {
   for (const FlowResult& f : r.flows) EXPECT_LT(f.stats.loss_rate(), 0.01);
 }
 
-// ------------------------------------------------- zones / event_queue keys
+// ------------------------------------------------------------- zones key
 
 TEST(ScenarioParserTest, ZonesKeyParses) {
   const std::string base = "topology = grid 3 3 100\nvoip 0 8 0 g729 100\n";
@@ -422,22 +422,6 @@ TEST(ScenarioParserTest, ZonesKeyParses) {
   const auto neg = parse_scenario(base + "zones = -1\n");
   ASSERT_FALSE(neg.has_value());
   EXPECT_NE(neg.error().find("zones"), std::string::npos);
-}
-
-TEST(ScenarioParserTest, EventQueueKeyParses) {
-  const std::string base = "topology = chain 3 100\nvoip 0 0 2 g729 100\n";
-  const auto def = parse_scenario(base);
-  ASSERT_TRUE(def.has_value());
-  EXPECT_EQ(def->config.event_queue, EventQueueKind::kCalendarQueue);
-  const auto heap = parse_scenario(base + "event_queue = heap\n");
-  ASSERT_TRUE(heap.has_value());
-  EXPECT_EQ(heap->config.event_queue, EventQueueKind::kBinaryHeap);
-  const auto cal = parse_scenario(base + "event_queue = calendar\n");
-  ASSERT_TRUE(cal.has_value());
-  EXPECT_EQ(cal->config.event_queue, EventQueueKind::kCalendarQueue);
-  const auto bad = parse_scenario(base + "event_queue = skiplist\n");
-  ASSERT_FALSE(bad.has_value());
-  EXPECT_NE(bad.error().find("calendar|heap"), std::string::npos);
 }
 
 // A zoned scenario must plan and run end-to-end, with the zone accounting
